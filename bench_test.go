@@ -634,6 +634,32 @@ func BenchmarkAnalysis(b *testing.B) {
 			b.ReportMetric(float64(waw), "wawwap-max-cycles")
 		})
 	}
+	// summary/<topo>/64x64 times the row-banded summaries alone (both
+	// designs, prebuilt model) at the largest analytical sweep size.
+	for _, tc := range []struct {
+		name string
+		topo mesh.TopoSpec
+	}{{"mesh", mesh.TopoSpec{}}, {"cmesh4", mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}}} {
+		b.Run("summary/"+tc.name+"/64x64", func(b *testing.B) {
+			p := analysis.DefaultParams(mesh.MustDim(64, 64))
+			p.Topo = tc.topo
+			m := analysis.MustNewModel(p)
+			flows := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flows = 0
+				for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+					s, err := m.SummarizeOneFlitWCTT(design)
+					if err != nil {
+						b.Fatal(err)
+					}
+					flows += s.Flows
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/pair")
+		})
+	}
 }
 
 // BenchmarkPacketization measures the WaP slicing overhead accounting (the

@@ -62,8 +62,8 @@ func serveOn(args []string, in io.Reader, w io.Writer) error {
 	ctx := context.Background()
 
 	if *pprofAddr != "" {
-		// Observability sidecar on the default mux (pprof, expvar); failures
-		// must not take the daemon down.
+		// Profiling sidecar on the default mux, which carries only the
+		// net/http/pprof handlers; failures must not take the daemon down.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "noctool serve: pprof: %v\n", err)

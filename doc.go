@@ -112,7 +112,13 @@
 // saturating-arithmetic sequence, no reassociation); the retained
 // per-pair reference (PairwiseSummarizeOneFlitWCTT, per-core
 // RoundTripUBD) pins equivalence across designs, dims and concentrated
-// meshes. SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
+// meshes. SummarizeOneFlitWCTT streams the kernels one source router row
+// at a time — a Wr x RN band of bounds, folded endpoint by endpoint in the
+// per-pair order before the next band — so its scratch is O(N*H) (about
+// 6 MB at 64x64) rather than an N^2 table, and it keeps only count, min,
+// max and the float sum of the bounds: the mean is that sum over the count,
+// added in the reference order and so bit-identical to it.
+// SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
 // precomputation (AllCoresRoundTripUBD row sweeps, Engine.WCETMap), the
 // wctt/wcet-map scenario modes and the serve daemon's whole-mesh batch
 // warm path (Model.WarmAllPairs) all run on the kernels, extending the

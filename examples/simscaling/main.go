@@ -71,8 +71,10 @@ func main() {
 			fmt.Sprintf("%d", serial.Cycle()),
 			fmt.Sprintf("%d", serial.TotalDeliveredMessages()),
 			fmt.Sprintf("%.1f", serial.AggregateLatency().Mean()),
-			fmt.Sprintf("%.2f", mcycPerSec(serialDur)),
-			fmt.Sprintf("%.2f", mcycPerSec(shardedDur)),
+			// Three significant digits: large meshes run well below
+			// 0.01 Mcyc/s, which a fixed two-decimal format prints as 0.00.
+			fmt.Sprintf("%.3g", mcycPerSec(serialDur)),
+			fmt.Sprintf("%.3g", mcycPerSec(shardedDur)),
 			fmt.Sprintf("%.2fx", serialDur.Seconds()/shardedDur.Seconds()))
 	}
 	if err := t.Render(os.Stdout, tablegen.FormatText); err != nil {

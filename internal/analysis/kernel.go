@@ -20,7 +20,11 @@ package analysis
 //     and `interval` the compounded downstream service interval I_j — both
 //     depend only on the hops already folded, never on the source still to
 //     come. Per source the only remaining terms are the final
-//     (S-1)*interval + 1 serialization, applied on a copy.
+//     (S-1)*interval + 1 serialization, applied on a copy. The sweep runs in
+//     two pieces: a column walk per destination records the column states
+//     in an Hr x RN table (regularColTable), and row sweeps finish one
+//     source row at a time from it (regularBand) — so a caller can consume
+//     the bounds source row by source row, as the summary does.
 //
 //   - The WaW guaranteed-bandwidth bound accumulates source-first (X segment
 //     from the source, then the Y segment down the destination column, then
@@ -106,29 +110,25 @@ func ensureTable(buf []uint64, n int) []uint64 {
 // router-table expansion instead.
 func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 
-// regularDestSweep runs the destination-major prefix-sharing sweep of the
-// chained-blocking bound for one destination router rd: it writes the bound
-// of a packet of S flits (contenders of L flits) from EVERY source router to
-// out[rsIdx*stride+offset], including the rsIdx == rd entry (the
-// ejection-only route, meaningful for co-located concentrated-mesh
-// endpoints; mesh callers zero the self-flow diagonal afterwards).
-func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node, S, L uint64) {
+// regularColWalk is the column half of the destination-major sweep of the
+// chained-blocking bound for one destination router rd: it seeds the fold
+// with the ejection hop (the prefix every source shares) and extends it one
+// Y hop per source row down the destination column, recording the fold
+// state (total, interval) reached at source row y in col[2*y*stride] and
+// col[2*y*stride+1].
+func (m *Model) regularColWalk(col []uint64, stride int, rd mesh.Node, L uint64) {
 	H := uint64(m.p.HeaderOverhead)
 	R := uint64(m.p.RouterLatency)
 	W, Ht := m.rdim.Width, m.rdim.Height
-	rdIdx := rd.Y*W + rd.X
-
-	// Seed the fold with the ejection hop at the destination router — the
-	// prefix every source shares.
 	var t0, i0 uint64 = 0, 1
 	{
-		c := m.contender[rdIdx][mesh.Local]
+		c := m.contender[rd.Y*W+rd.X][mesh.Local]
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, i0)))
 		t0 = saturatingAdd(t0, saturatingAdd(wait, R))
 		i0 = saturatingMul(c, i0)
 	}
 	// Sources in the destination row share the seed state directly.
-	m.regularRowSweep(out, stride, offset, rd.Y, rd, t0, i0, S, L)
+	col[2*rd.Y*stride], col[2*rd.Y*stride+1] = t0, i0
 	// Sources above the destination (rs.Y < rd.Y) travel YPlus down the
 	// destination column: extend the fold by the hop at each row on the way.
 	t, iv := t0, i0
@@ -137,7 +137,7 @@ func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node,
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		m.regularRowSweep(out, stride, offset, y, rd, t, iv, S, L)
+		col[2*y*stride], col[2*y*stride+1] = t, iv
 	}
 	// Sources below the destination travel YMinus.
 	t, iv = t0, i0
@@ -146,18 +146,43 @@ func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node,
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		m.regularRowSweep(out, stride, offset, y, rd, t, iv, S, L)
+		col[2*y*stride], col[2*y*stride+1] = t, iv
 	}
 }
 
-// regularRowSweep extends one column state (tC, iC) of regularDestSweep
-// along source row y, finishing one source per X hop in both directions.
+// regularColTable runs regularColWalk for every destination router into
+// col, an Hr x RN table: the state of destination rdIdx at source row y is
+// at index 2*(y*RN+rdIdx).
+func (m *Model) regularColTable(col []uint64, L uint64) {
+	rn := m.rdim.Nodes()
+	for rdIdx, rd := range m.rdim.AllNodes() {
+		m.regularColWalk(col[2*rdIdx:], rn, rd, L)
+	}
+}
+
+// regularBand runs the row half for source router row y against every
+// destination router: it writes the bound from source router (x, y) to
+// destination router rdIdx to band[x*stride+rdIdx], reading the column
+// states from a regularColTable table. The (x, y) == rd entry is the
+// ejection-only route, the bound of two co-located concentrated-mesh
+// endpoints; mesh callers zero the self-flow diagonal afterwards.
+func (m *Model) regularBand(band []uint64, stride, y int, col []uint64, S, L uint64) {
+	rn := m.rdim.Nodes()
+	for rdIdx, rd := range m.rdim.AllNodes() {
+		k := 2 * (y*rn + rdIdx)
+		m.regularRowSweep(band, stride, rdIdx, y, rd, col[k], col[k+1], S, L)
+	}
+}
+
+// regularRowSweep extends one column state (tC, iC) of regularColWalk
+// along source row y, finishing one source per X hop in both directions:
+// the bound from source router (x, y) goes to out[x*stride+offset].
 func (m *Model) regularRowSweep(out []uint64, stride, offset, y int, rd mesh.Node, tC, iC, S, L uint64) {
 	H := uint64(m.p.HeaderOverhead)
 	R := uint64(m.p.RouterLatency)
 	W := m.rdim.Width
 	// The source in the destination column finishes from the column state.
-	out[(y*W+rd.X)*stride+offset] = saturatingAdd(saturatingAdd(tC, saturatingMul(S-1, iC)), 1)
+	out[rd.X*stride+offset] = saturatingAdd(saturatingAdd(tC, saturatingMul(S-1, iC)), 1)
 	// Sources left of the destination column travel XPlus along row y.
 	t, iv := tC, iC
 	for x := rd.X - 1; x >= 0; x-- {
@@ -165,7 +190,7 @@ func (m *Model) regularRowSweep(out []uint64, stride, offset, y int, rd mesh.Nod
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		out[(y*W+x)*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+		out[x*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
 	}
 	// Sources right of the destination column travel XMinus.
 	t, iv = tC, iC
@@ -174,7 +199,7 @@ func (m *Model) regularRowSweep(out []uint64, stride, offset, y int, rd mesh.Nod
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		out[(y*W+x)*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+		out[x*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
 	}
 }
 
@@ -282,22 +307,30 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
 	S, L := uint64(packetFlits), uint64(contenderFlits)
-	if m.identityTopo() {
-		for rdIdx, rd := range m.rdim.AllNodes() {
-			m.regularDestSweep(buf, n, rdIdx, rd, S, L)
-		}
-		for i := 0; i < n; i++ {
-			buf[i*n+i] = 0
-		}
+	W, rn := m.rdim.Width, m.rdim.Nodes()
+	// One pooled buffer holds the column table and, on a concentrated mesh,
+	// the router-pair table that is then expanded into buf.
+	colN, tabN := 2*m.rdim.Height*rn, 0
+	if !m.identityTopo() {
+		tabN = rn * rn
+	}
+	sp := getScratch(colN + tabN)
+	defer putScratch(sp)
+	col, tab := (*sp)[:colN], buf
+	if tabN > 0 {
+		tab = (*sp)[colN:]
+	}
+	m.regularColTable(col, L)
+	for y := 0; y < m.rdim.Height; y++ {
+		m.regularBand(tab[y*W*rn:], rn, y, col, S, L)
+	}
+	if !m.identityTopo() {
+		m.expandRouterTable(buf, tab)
 		return buf, nil
 	}
-	rn := m.rdim.Nodes()
-	tabp := getScratch(rn * rn)
-	for rdIdx, rd := range m.rdim.AllNodes() {
-		m.regularDestSweep(*tabp, rn, rdIdx, rd, S, L)
+	for i := 0; i < n; i++ {
+		buf[i*n+i] = 0
 	}
-	m.expandRouterTable(buf, *tabp)
-	putScratch(tabp)
 	return buf, nil
 }
 
@@ -409,15 +442,21 @@ func (m *Model) AllSourcesMessageWCTT(design network.Design, dst mesh.Node, payl
 	if !sh.waw {
 		kernelRowSweeps.Add(1)
 		rd := m.topo.RouterOf(dst)
-		if m.identityTopo() {
-			m.regularDestSweep(buf, 1, 0, rd, uint64(sh.a), uint64(sh.b))
-		} else {
-			rowp := getScratch(m.rdim.Nodes())
-			m.regularDestSweep(*rowp, 1, 0, rd, uint64(sh.a), uint64(sh.b))
+		W, colN := m.rdim.Width, 2*m.rdim.Height
+		sp := getScratch(colN + m.rdim.Nodes())
+		defer putScratch(sp)
+		col, row := (*sp)[:colN], buf
+		if !m.identityTopo() {
+			row = (*sp)[colN:]
+		}
+		m.regularColWalk(col, 1, rd, uint64(sh.b))
+		for y := 0; y < m.rdim.Height; y++ {
+			m.regularRowSweep(row[y*W:], 1, 0, y, rd, col[2*y], col[2*y+1], uint64(sh.a), uint64(sh.b))
+		}
+		if !m.identityTopo() {
 			for i := range buf {
-				buf[i] = (*rowp)[m.epRouter[i]]
+				buf[i] = row[m.epRouter[i]]
 			}
-			putScratch(rowp)
 		}
 		buf[dstIdx] = 0
 		return buf, nil

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
@@ -185,22 +187,81 @@ func TestRowKernelsMatchPairwise(t *testing.T) {
 	}
 }
 
-// TestSummarizeMatchesPairwise pins the kernel-backed summary — including
-// its float Welford mean, which is fold-order-sensitive — to the retained
-// per-pair summary across designs, dims and topologies.
+// TestSummarizeMatchesPairwise pins the row-banded kernel summary —
+// including its mean, a float sum whose value depends on the fold order —
+// to the retained per-pair summary across designs, dims and topologies. In
+// non-short mode it adds large regular sizes (24x24 mesh, 32x32 cmesh2 and
+// cmesh4) whose means reach 10^10..10^17 cycles — the first two saturated,
+// with many bounds at 2^64-1 — where a reordered sum would round
+// differently.
 func TestSummarizeMatchesPairwise(t *testing.T) {
-	for _, m := range kernelModels(t) {
+	models := kernelModels(t)
+	if !testing.Short() {
+		for _, c := range []struct {
+			size int
+			spec mesh.TopoSpec
+		}{
+			{24, mesh.TopoSpec{Kind: mesh.TopoMesh}},
+			{32, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}},
+			{32, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}},
+		} {
+			p := DefaultParams(mesh.MustDim(c.size, c.size))
+			p.Topo = c.spec
+			models = append(models, MustNewModel(p))
+		}
+	}
+	for _, m := range models {
 		for _, design := range allDesigns {
 			fast, err1 := m.SummarizeOneFlitWCTT(design)
 			ref, err2 := m.PairwiseSummarizeOneFlitWCTT(design)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%v %v %v: errors %v / %v", m.Params().Topo, m.Params().Dim, design, err1, err2)
 			}
-			if fast != ref {
+			if fast != ref || math.Float64bits(fast.Mean) != math.Float64bits(ref.Mean) {
 				t.Fatalf("%v %v %v: kernel summary %+v != pairwise %+v",
 					m.Params().Topo, m.Params().Dim, design, fast, ref)
 			}
 		}
+	}
+}
+
+// TestSummaryScratchBounded pins the summary's O(N*H) scratch: a cold
+// 64x64 summary (empty scratch pool) on the mesh and on cmesh4 allocates
+// well under the 128 MiB an N^2 endpoint-pair table would take. The mesh's
+// regular all-pairs kernel, writing into a caller table, must likewise need
+// no second N^2 table.
+func TestSummaryScratchBounded(t *testing.T) {
+	const limit = 16 << 20
+	coldAlloc := func(fn func() error) uint64 {
+		t.Helper()
+		// Two collections empty the scratch pool and its victim cache.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, spec := range []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 4}} {
+		p := DefaultParams(mesh.MustDim(64, 64))
+		p.Topo = spec
+		m := MustNewModel(p)
+		for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+			got := coldAlloc(func() error { _, err := m.SummarizeOneFlitWCTT(design); return err })
+			if got >= limit {
+				t.Errorf("%v %v: cold summary allocated %d bytes, want < %d", spec, design, got, limit)
+			}
+		}
+	}
+	// 32x32 keeps the caller table at 8 MiB; a second one would double it.
+	m := MustNewModel(DefaultParams(mesh.MustDim(32, 32)))
+	buf := make([]uint64, 1024*1024)
+	got := coldAlloc(func() error { _, err := m.AllPairsRegularPacketWCTT(1, 1, buf); return err })
+	if want := uint64(len(buf) * 8 / 2); got >= want {
+		t.Errorf("mesh AllPairsRegularPacketWCTT into a caller table allocated %d bytes, want < %d", got, want)
 	}
 }
 

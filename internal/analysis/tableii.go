@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mesh"
 	"repro/internal/network"
@@ -33,120 +34,74 @@ func (s WCTTSummary) String() string {
 // SummarizeOneFlitWCTT computes max/mean/min of the one-flit-packet WCTT
 // bound over every ordered pair of distinct nodes, for the given design.
 // It runs on the incremental all-pairs kernels (kernel.go) — amortized O(1)
-// route-walk work per pair instead of O(hops) — and folds the table in the
-// exact pair order of the retained per-pair path
-// (PairwiseSummarizeOneFlitWCTT), so the running Welford mean is
-// bit-identical, not merely close. Steady-state calls perform no heap
-// allocations (the transient table is pooled).
+// route-walk work per pair instead of O(hops) — one source router row at a
+// time: a Wr x RN band holds the bounds from every router of the row to
+// every router, and every endpoint on the row is folded from it before the
+// next band is filled. Scratch is O(N*H), never an N^2 table. Endpoints are
+// folded in the exact pair order of the retained per-pair path
+// (PairwiseSummarizeOneFlitWCTT), so the mean — the float sum of the bounds
+// in that order, divided by the flow count — is bit-identical, not merely
+// close. Steady-state calls perform no heap allocations (the scratch is
+// pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
-	n := len(m.nodes)
+	W, rn := m.rdim.Width, m.rdim.Nodes()
+	// One pooled buffer holds the band and, for the regular design, the
+	// Hr x RN column table.
+	bandN := W * rn
+	sp := getScratch(bandN + 2*m.rdim.Height*rn)
+	defer putScratch(sp)
+	band, col := (*sp)[:bandN], (*sp)[bandN:]
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		// The chained-blocking kernel is destination-major, the reference
-		// fold source-major: materialise the table, then fold it in
-		// reference order.
-		tabp := getScratch(n * n)
-		defer putScratch(tabp)
-		tab, err := m.AllPairsRegularPacketWCTT(1, 1, *tabp)
-		if err != nil {
-			return WCTTSummary{}, err
-		}
-		*tabp = tab
-		return m.foldSummaryTable(design, tab), nil
+		m.regularColTable(col, 1)
+		return m.summarizeBands(design, band, func(y int) {
+			m.regularBand(band, rn, y, col, 1, 1)
+		}), nil
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		// The guaranteed-bandwidth kernel is source-major — exactly the
-		// reference fold order — so the summary streams one O(N) row per
-		// source with O(N) scratch.
-		return m.streamWaWSummary(design)
+		return m.summarizeBands(design, band, func(y int) {
+			for x := 0; x < W; x++ {
+				m.wawSourceSweep(band[x*rn:x*rn+rn], mesh.Node{X: x, Y: y}, 1, 1)
+			}
+		}), nil
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
 	}
 }
 
-// foldSummaryTable folds a full endpoint-pair table in the per-pair
-// reference order (sources outer, destinations inner, self flows skipped).
-func (m *Model) foldSummaryTable(design network.Design, tab []uint64) WCTTSummary {
-	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	n := len(m.nodes)
-	count := 0
-	for si := 0; si < n; si++ {
-		row := tab[si*n : si*n+n]
-		for di := 0; di < n; di++ {
-			if di == si {
-				continue
-			}
-			v := row[di]
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
-				}
-				if v < minV {
-					minV = v
-				}
-			}
-			sampler.AddUint(v)
-			count++
-		}
-	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
-	}
-}
-
-// streamWaWSummary folds the WaW one-flit summary from per-source kernel
-// rows without materialising the N^2 table.
-func (m *Model) streamWaWSummary(design network.Design) (WCTTSummary, error) {
+// summarizeBands folds the summary over source router rows in order: fill(y)
+// writes the bound from source router (x, y) to destination router rd into
+// band[x*RN+rd], then every endpoint attached to router row y is folded in
+// endpoint-index order, reading each destination through its router.
+// Endpoint rows map onto router rows in non-decreasing order, so this is
+// exactly the reference fold order. The fold keeps only what WCTTSummary
+// reports: count, min, max and the float sum of the bounds.
+func (m *Model) summarizeBands(design network.Design, band []uint64, fill func(y int)) WCTTSummary {
 	kernelAllPairsRuns.Add(1)
-	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	n := len(m.nodes)
-	count := 0
-	rn := m.rdim.Nodes()
-	rowp := getScratch(rn)
-	defer putScratch(rowp)
-	row := *rowp
-	for si := 0; si < n; si++ {
-		rs := m.topo.RouterOf(m.nodes[si])
-		m.wawSourceSweep(row, rs, 1, 1)
-		for di := 0; di < n; di++ {
-			if di == si {
-				continue
-			}
-			v := row[m.epRouter[di]]
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
+	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.epRouter)
+	var lo, hi uint64 = math.MaxUint64, 0
+	var sum float64
+	si := 0
+	for y := 0; y < m.rdim.Height; y++ {
+		fill(y)
+		for ; si < n && int(m.epRouter[si])/W == y; si++ {
+			x := int(m.epRouter[si]) - y*W
+			row := band[x*rn : x*rn+rn]
+			for di, r := range m.epRouter {
+				if di == si {
+					continue
 				}
-				if v < minV {
-					minV = v
-				}
+				v := row[r]
+				lo = min(lo, v)
+				hi = max(hi, v)
+				sum += float64(v)
 			}
-			sampler.AddUint(v)
-			count++
 		}
 	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
-	}, nil
+	s := WCTTSummary{Design: design, Dim: m.p.Dim, Max: hi, Flows: n * (n - 1)}
+	if s.Flows > 0 {
+		s.Min, s.Mean = lo, sum/float64(s.Flows)
+	}
+	return s
 }
 
 // PairwiseSummarizeOneFlitWCTT is the retained per-pair summary path — the

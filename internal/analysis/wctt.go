@@ -57,6 +57,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/flit"
@@ -244,14 +245,14 @@ func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
 // saturatingMul multiplies two non-negative uint64 values, saturating at
 // MaxUint64 (relevant only for unrealistically large meshes, where the
 // regular bound overflows any practical representation anyway).
+// The overflow test reads the high word of the full 128-bit product rather
+// than dividing, so the kernels' per-hop folds carry no integer division.
 func saturatingMul(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxUint64/b {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
 		return math.MaxUint64
 	}
-	return a * b
+	return lo
 }
 
 func saturatingAdd(a, b uint64) uint64 {

@@ -362,6 +362,17 @@ func TestSaturatingArithmetic(t *testing.T) {
 	if saturatingAdd(2, 3) != 5 || saturatingMul(2, 3) != 6 {
 		t.Error("basic arithmetic wrong")
 	}
+	// The overflow boundary: 2^64 saturates, the largest products below it
+	// do not.
+	if saturatingMul(1<<32, 1<<32) != math.MaxUint64 {
+		t.Error("2^32 * 2^32 should saturate")
+	}
+	if saturatingMul(1<<32, 1<<32-1) != 1<<64-1<<32 || saturatingMul(math.MaxUint64, 1) != math.MaxUint64 {
+		t.Error("products below 2^64 must not saturate")
+	}
+	if saturatingMul(math.MaxUint64/7, 7) != math.MaxUint64/7*7 || saturatingMul(math.MaxUint64/7+1, 7) != math.MaxUint64 {
+		t.Error("multiply boundary around MaxUint64/7 wrong")
+	}
 }
 
 // The simulator must never observe a latency above the analytical bound for
